@@ -366,17 +366,3 @@ class InstalledPlan:
     def __exit__(self, *exc_info) -> None:
         self.uninstall()
 
-
-def install_plan(transport: Any, plan: FaultPlan) -> InstalledPlan:
-    """Install ``plan`` on any transport and return the installation.
-
-    A :class:`~repro.simnet.shard.ShardedTransport` installs one
-    injector per shard (its ``install_fault_plan``); any single-loop
-    :class:`Transport` gets one injector directly.  Either way the
-    caller holds an :class:`InstalledPlan` with uniform uninstall and
-    accounting.
-    """
-    installer = getattr(transport, "install_fault_plan", None)
-    if installer is not None:
-        return installer(plan)
-    return InstalledPlan([FaultInjector(transport, plan).install()])

@@ -364,47 +364,27 @@ class GridVineNetwork:
         if isinstance(query, str):
             query = parse_search_for(query)
         origin_peer = self._origin(origin)
+        # One trace per query, trace_id == op_tag: the trace's message
+        # spans cover exactly the messages the metrics attribute to the
+        # same tag.  Scope and root wrap only the synchronous kickoff;
+        # every asynchronous continuation inherits the tag through the
+        # messages themselves, so concurrent maintenance / churn /
+        # replication traffic is never billed to this query.
         op_tag = f"searchfor:{next(self._op_tags)}"
-        metrics = self.network.metrics
-        metrics.begin_operation(op_tag)
-        tracer = self.network.tracer
-        root = None
-        if tracer is not None:
-            # One trace per query, trace_id == op_tag: the trace's
-            # message spans cover exactly the messages the metrics
-            # attribute to the same tag.  The root wraps only the
-            # synchronous kickoff, the same discipline as the
-            # attribution scope below.
-            root = tracer.start_trace(op_tag, op_tag,
-                                      peer=origin_peer.node_id,
-                                      start=self.network.loop.now,
-                                      strategy=strategy)
+        transport = self.network
         try:
-            # The synchronous kickoff runs inside the attribution
-            # scope; every asynchronous continuation inherits the tag
-            # through the messages themselves, so concurrent
-            # maintenance / churn / replication traffic is never
-            # billed to this query.
-            with self.network.operation(op_tag):
-                if root is not None:
-                    with tracer.activate(tracer.context_of(root)):
-                        future = origin_peer.search_for(
-                            query, strategy=strategy, max_hops=max_hops,
-                            limit=limit,
-                        )
-                else:
-                    future = origin_peer.search_for(
-                        query, strategy=strategy, max_hops=max_hops,
-                        limit=limit,
-                    )
+            future, root = transport.start_operation(
+                origin_peer.node_id, origin_peer.search_for,
+                (query, strategy, max_hops, limit), tag=op_tag,
+                attrs={"strategy": strategy})
             outcome = self._run(future)
-            outcome.messages = metrics.operation_messages(op_tag)
+            outcome.messages = transport.metrics.operation_messages(op_tag)
             if root is not None:
-                tracer.finish(root, self.network.loop.now,
-                              messages=outcome.messages)
+                transport.tracer.finish(root, transport.loop.now,
+                                        messages=outcome.messages)
             return outcome
         finally:
-            metrics.end_operation(op_tag)
+            transport.metrics.end_operation(op_tag)
 
     def run_batch(self, peer, queries, plans, limit: int | None = None,
                   optimizer=None):
@@ -422,46 +402,25 @@ class GridVineNetwork:
 
         Returns ``(outcomes, fetch_stats, messages)``.
         """
-        metrics = self.network.metrics
-        # Per-operation attribution: the batch's pattern fetches (and
-        # everything they cause downstream) carry this tag, so the
-        # count stays exact even with maintenance or churn traffic
-        # running in the background.
+        # The batch's pattern fetches (and everything they cause
+        # downstream) carry this tag, so the count stays exact even
+        # with maintenance or churn traffic running in the background;
+        # trace_id == op_tag gives the same 1:1 span coverage as
+        # ``search_for``.
         op_tag = f"batch:{next(self._op_tags)}"
-        metrics.begin_operation(op_tag)
         transport = self.network
-        tracer = transport.tracer
-        root = None
-        if tracer is not None:
-            # Root span of the batch's trace.  trace_id == op_tag, so
-            # the trace's message spans correspond 1:1 with the
-            # messages the metrics attribute to the same tag (the
-            # exact-coverage invariant the obs tests pin).  The root
-            # wraps only the synchronous kickoff below — exactly the
-            # op_tag scope — so concurrent background traffic stays
-            # outside the trace.
-            root = tracer.start_trace(op_tag, op_tag, peer=peer.node_id,
-                                      start=transport.loop.now,
-                                      queries=len(queries))
         try:
-            with transport.operation(op_tag):
-                if root is not None:
-                    with tracer.activate(tracer.context_of(root)):
-                        batch_future = peer.execute_planned_batch(
-                            queries, plans, limit=limit,
-                            optimizer=optimizer)
-                else:
-                    batch_future = peer.execute_planned_batch(
-                        queries, plans, limit=limit, optimizer=optimizer)
-            outcomes, fetch_stats = self.loop.run_until_complete(
-                batch_future
-            )
-            messages = metrics.operation_messages(op_tag)
+            batch_future, root = transport.start_operation(
+                peer.node_id, peer.execute_planned_batch,
+                (queries, plans, limit, optimizer), tag=op_tag,
+                attrs={"queries": len(queries)})
+            outcomes, fetch_stats = self._run(batch_future)
+            messages = transport.metrics.operation_messages(op_tag)
             if root is not None:
-                tracer.finish(root, transport.loop.now,
-                              messages=messages)
+                transport.tracer.finish(root, transport.loop.now,
+                                        messages=messages)
         finally:
-            metrics.end_operation(op_tag)
+            transport.metrics.end_operation(op_tag)
         return outcomes, fetch_stats, messages
 
     # ------------------------------------------------------------------
@@ -557,11 +516,7 @@ class GridVineNetwork:
 
     def trace_records(self) -> list[dict]:
         """All recorded span/event dicts in deterministic order."""
-        tracer = self.network.tracer
-        if tracer is None:
-            return []
-        from repro.obs.tracer import merge_records
-        return merge_records([tracer.records])
+        return self.network.trace_records()
 
     def export_trace(self, path: str) -> int:
         """Write recorded spans/events as sorted JSONL; returns count."""

@@ -5,7 +5,7 @@ overlay work is logarithmic in network size, so the interesting regime
 starts where a single-loop simulation stops being practical.  This
 module builds one deterministic deployment — trie assignment, sampled
 routing tables, preloaded replica groups, query waves, churn trace —
-and runs it unchanged on either engine:
+and runs it unchanged on either engine through one driver:
 
 - :func:`run_inprocess` — the classic single-event-loop
   :class:`~repro.simnet.network.InProcessTransport` (the ``shards=1``
@@ -14,6 +14,13 @@ and runs it unchanged on either engine:
   :class:`~repro.simnet.shard.ShardedTransport`, with the trie key
   space partitioned into contiguous leaf runs so replica groups and
   prefix-local traffic stay intra-shard.
+
+Each only builds its transport; the shared runner attaches the peers,
+paces the waves, submits every operation through the transports' common
+``submit`` surface (engine batches through
+:class:`~repro.mediation.sharded.ShardedGridVine`) and reads the report
+back from ``completed`` / ``metrics_snapshot`` — so op refs,
+attribution tags and trace ids mean the same thing on both engines.
 
 Everything the workload consumes is derived from the spec seed and
 node ids only (per-peer rng streams, per-wave query draws, per-node
@@ -34,7 +41,6 @@ distributions under churn).
 from __future__ import annotations
 
 import random
-import resource
 import time
 import zlib
 from bisect import bisect_right
@@ -58,11 +64,7 @@ from repro.pgrid.peer import PGridPeer
 from repro.simnet.churn import exponential_schedule
 from repro.simnet.latency import ConstantLatency
 from repro.simnet.network import InProcessTransport
-from repro.simnet.shard import (
-    ShardedTransport,
-    partition_paths,
-    summarize_op_result,
-)
+from repro.simnet.shard import ShardedTransport, partition_paths
 from repro.util.keys import Key
 
 
@@ -114,8 +116,8 @@ class ScaleoutSpec:
     strategy: str = "iterative"
     query_max_hops: int = 4
     query_limit: int | None = None
-    #: per wave, how many extra queries run as ONE engine batch
-    #: through the ``run_batch`` transport seam (0 = no batches)
+    #: per wave, how many extra queries run as ONE engine batch,
+    #: submitted alongside the wave's queries (0 = no batches)
     batch_queries: int = 0
     #: optional :class:`~repro.faultlab.plan.FaultPlan` installed on the
     #: transport before traffic starts — one injector on the single-loop
@@ -209,9 +211,10 @@ class ScaleoutReport:
 class MediationDeployment:
     """The GridVine layer of a mediation-workload deployment.
 
-    Pure data derived from the spec seed: the corpus, the ground-truth
-    mapping chain (both directions of every edge, exactly what
-    ``insert_mapping`` would have published), and the query waves.
+    Pure data derived from the spec seed: the corpus and the
+    ground-truth mapping chain (both directions of every edge, exactly
+    what ``insert_mapping`` would have published).  Its query waves
+    are :attr:`Deployment.waves`.
     """
 
     #: the generated corpus's schemas, in chain order
@@ -221,10 +224,6 @@ class MediationDeployment:
     mappings: list
     #: schema name -> data triples
     triples_by_schema: dict[str, list]
-    #: wave index -> list of (origin node id, ConjunctiveQuery)
-    query_waves: list[list[tuple[str, object]]]
-    #: wave index -> (origin node id, [queries]) engine batch, or None
-    batch_waves: list[tuple[str, list] | None]
 
 
 @dataclass
@@ -241,8 +240,10 @@ class Deployment:
     groups: dict[str, list[str]]
     #: (time, node_id, online) churn toggles, empty when churn is off
     toggles: list[tuple[float, str, bool]]
-    #: wave index -> list of (origin node id, needle key)
-    waves: list[list[tuple[str, Key]]]
+    #: wave index -> list of (origin node id, work): a needle key to
+    #: retrieve, a ``ConjunctiveQuery`` to resolve, or a list of
+    #: queries run as one engine batch (mediation, last in its wave)
+    waves: list[list[tuple[str, object]]]
     #: GridVine corpus + query workload (mediation workloads only)
     mediation: MediationDeployment | None = None
 
@@ -279,8 +280,7 @@ def build_deployment(spec: ScaleoutSpec) -> Deployment:
     mediation = None
     waves: list[list[tuple[str, object]]] = []
     if spec.workload == "mediation":
-        mediation = _build_mediation(spec, node_ids)
-        waves = []
+        mediation, waves = _build_mediation(spec, node_ids)
     elif spec.workload == "retrieve":
         needle_keys = list(needles)
         for wave in range(spec.num_waves):
@@ -302,8 +302,8 @@ def build_deployment(spec: ScaleoutSpec) -> Deployment:
                       toggles=toggles, waves=waves, mediation=mediation)
 
 
-def _build_mediation(spec: ScaleoutSpec,
-                     node_ids: list[str]) -> MediationDeployment:
+def _build_mediation(spec: ScaleoutSpec, node_ids: list[str]
+                     ) -> tuple[MediationDeployment, list[list[tuple]]]:
     """Corpus, mapping chain and query waves for a mediation workload.
 
     The dataset's schemas are chained with bidirectional ground-truth
@@ -326,25 +326,22 @@ def _build_mediation(spec: ScaleoutSpec,
         mappings.extend([forward, forward.reversed()])
     workload = QueryWorkloadGenerator(dataset,
                                       seed=f"{spec.seed}/queries")
-    query_waves = []
-    batch_waves: list[tuple[str, list] | None] = []
+    waves = []
     for wave in range(spec.num_waves):
         rng = random.Random(f"{spec.seed}/qwave/{wave}")
-        query_waves.append([
+        waves.append([
             (node_ids[rng.randrange(len(node_ids))], workload.next_query())
             for _ in range(spec.ops_per_wave)
         ])
         if spec.batch_queries > 0:
-            batch_waves.append((
+            waves[-1].append((
                 node_ids[rng.randrange(len(node_ids))],
                 [workload.next_query() for _ in range(spec.batch_queries)],
             ))
-        else:
-            batch_waves.append(None)
-    return MediationDeployment(
+    mediation = MediationDeployment(
         schemas=list(dataset.schemas), mappings=mappings,
-        triples_by_schema=dict(dataset.triples_by_schema),
-        query_waves=query_waves, batch_waves=batch_waves)
+        triples_by_schema=dict(dataset.triples_by_schema))
+    return mediation, waves
 
 
 def _stream(*parts: object) -> random.Random:
@@ -443,7 +440,7 @@ def summarize_query_outcome(outcome) -> tuple:
 
     Deliberately excludes ``latency`` / ``issued_at``: the sharded
     engine issues ops at window boundaries, so absolute times differ
-    legitimately between engines.  The controller appends the exact
+    legitimately between engines.  The runner appends the exact
     attributed message count, making the stored summary
     ``("q", complete, rows, reformulations, messages)``.
     """
@@ -452,384 +449,138 @@ def summarize_query_outcome(outcome) -> tuple:
 
 
 def summarize_batch_result(result) -> tuple:
-    """Engine-comparable digest of one engine-batch execution."""
-    per_query = tuple(
-        ("q", o.complete, _result_rows(o), o.reformulations_explored)
-        for o in result.outcomes)
-    return ("b", per_query, result.messages, result.patterns_fetched,
-            result.patterns_total, result.scans_issued,
-            result.scans_skipped)
+    """Engine-comparable digest of one planned engine batch's
+    ``(outcomes, fetch_stats)``; the runner appends the batch's
+    attributed message count, as for queries."""
+    outcomes, fetch = result
+    per_query = tuple(summarize_query_outcome(o) for o in outcomes)
+    return ("b", per_query, fetch.patterns_fetched, fetch.patterns_total,
+            fetch.scans_issued, fetch.scans_skipped)
 
 
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
 
-def _install_inprocess_tracer(net, spec: ScaleoutSpec):
-    """A span recorder on the single loop (``trace_path`` only)."""
-    if spec.trace_path is None:
-        return None
-    from repro.obs.tracer import Tracer
-    return net.install_tracer(Tracer(seed=spec.seed))
-
-
-def _export_inprocess_trace(tracer, spec: ScaleoutSpec) -> None:
-    if tracer is None:
-        return
-    from repro.obs.tracer import export_records_jsonl, merge_records
-    export_records_jsonl(merge_records([tracer.records]), spec.trace_path)
-
-
-def _export_sharded_trace(transport, spec: ScaleoutSpec) -> None:
-    """Export the merged per-shard trace (call after ``stop()``)."""
-    if spec.trace_path is None:
-        return
-    from repro.obs.tracer import export_records_jsonl
-    export_records_jsonl(transport.trace_records(), spec.trace_path)
-
-
-def _traced_kickoff(tracer, loop, ref: int, method: str, origin: str,
-                    kickoff):
-    """Run ``kickoff`` inside a fresh ``op:<ref>`` trace root.
-
-    The single-loop mirror of ``Shard._issue``'s traced submission:
-    same trace id, same root name, same status discipline — so the two
-    engines export comparable traces for the same deployment.
-    """
-    root = tracer.start_trace(f"op:{ref}", f"op:{method}", peer=origin,
-                              start=loop.now)
-    tracer._stack.append(tracer.context_of(root))
-    try:
-        future = kickoff()
-    finally:
-        tracer._stack.pop()
-
-    def _done(f):
-        result = f.result()
-        status = "ok" if getattr(result, "success", True) else "failed"
-        tracer.finish(root, loop.now, status)
-
-    future.add_done_callback(_done)
-    return future
+def run_inprocess(spec: ScaleoutSpec,
+                  deployment: Deployment | None = None) -> ScaleoutReport:
+    """Run the deployment on the single-loop transport."""
+    transport = InProcessTransport(
+        latency=ConstantLatency(spec.latency_delay),
+        rng=random.Random(f"{spec.seed}/latency"))
+    if spec.trace_path is not None:
+        from repro.obs.tracer import Tracer
+        transport.install_tracer(Tracer(seed=spec.seed))
+    return _run(spec, deployment or build_deployment(spec), transport,
+                "inprocess", transport.attach)
 
 
 def run_sharded(spec: ScaleoutSpec,
                 deployment: Deployment | None = None) -> ScaleoutReport:
     """Run the deployment on the windowed sharded transport."""
     deployment = deployment or build_deployment(spec)
-    if spec.workload == "mediation":
-        return _run_sharded_mediation(spec, deployment)
-    started = time.perf_counter()
     transport = ShardedTransport(
         spec.num_shards, latency=ConstantLatency(spec.latency_delay),
         seed=spec.seed, mode=spec.mode)
-    owner = partition_paths(deployment.assignment, spec.num_shards)
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload(deployment, peers)
-    for node_id, peer in peers.items():
-        transport.add_peer(peer, owner[node_id])
-    for at, node_id, online in deployment.toggles:
-        transport.set_online_at(at, node_id, online)
     if spec.trace_path is not None:
         transport.install_tracer()
+    owner = partition_paths(deployment.assignment, spec.num_shards)
+    return _run(spec, deployment, transport, f"sharded/{spec.mode}",
+                lambda peer: transport.add_peer(peer, owner[peer.node_id]))
+
+
+def _run(spec: ScaleoutSpec, deployment: Deployment, transport,
+         engine: str, attach) -> ScaleoutReport:
+    """Drive ``deployment`` on ``transport`` and report what it did.
+
+    Waves are pulled from ``deployment.waves`` one at a time, and wave
+    *i + 1* only once wave *i* has drained (or, under churn, at
+    ``i * wave_interval``) — every operation of a wave, engine batches
+    included, is submitted at the same virtual time and runs
+    concurrently.  Mediation operations are attributed, so each
+    summary ends with its exact message count.
+    """
+    started = time.perf_counter()
+    peers = {node_id: _make_peer(spec, deployment, node_id)
+             for node_id in sorted(deployment.assignment)}
+    if deployment.mediation is None:
+        _preload(deployment, peers)
+    else:
+        _preload_mediation(deployment, peers)
+    for peer in peers.values():
+        attach(peer)
     if spec.faults is not None:
         transport.install_fault_plan(spec.faults)
-    transport.start()
+    for at, node_id, online in deployment.toggles:
+        transport.set_online_at(at, node_id, online)
+    submit = _submitter(spec, deployment, transport)
 
-    report = ScaleoutReport(engine=f"sharded/{spec.mode}",
-                            num_peers=spec.num_peers,
-                            num_shards=spec.num_shards)
+    ops_issued = 0
     for wave_index, wave in enumerate(deployment.waves):
         if spec.churn:
             transport.run_until(wave_index * spec.wave_interval)
-        for origin, key in wave:
-            transport.submit(origin, "retrieve", key)
-            report.ops_issued += 1
+        for origin, work in wave:
+            submit(origin, work)
+        ops_issued += len(wave)
         if not spec.churn:
             transport.run_until_quiescent()
     if spec.churn:
         transport.run_until(spec.duration)
     transport.run_until_quiescent()
 
-    stats = transport.stop()
-    _export_sharded_trace(transport, spec)
+    transport.stop()
+    if spec.trace_path is not None:
+        from repro.obs.tracer import export_records_jsonl
+        export_records_jsonl(transport.trace_records(), spec.trace_path)
     merged = transport.metrics_snapshot()
-    report.outcomes = dict(transport.completed)
+    outcomes = dict(transport.completed)
+    if deployment.mediation is not None:
+        operations = merged["operations"]
+        outcomes = {ref: summary + (operations.get(f"op:{ref}", 0),)
+                    for ref, summary in outcomes.items()}
+    report = ScaleoutReport(
+        engine=engine, num_peers=spec.num_peers,
+        num_shards=len(merged["per_shard_peak_rss_kb"]),
+        ops_issued=ops_issued, outcomes=outcomes,
+        faults_by_kind=merged["faults_by_kind"],
+        messages_sent=merged["messages_sent"],
+        messages_dropped=merged["messages_dropped"],
+        drops_by_reason=merged["drops_by_reason"],
+        events_processed=merged["events_processed"],
+        virtual_time=transport.now,
+        peak_rss_kb=max(merged["per_shard_peak_rss_kb"]),
+        per_shard_peak_rss_kb=merged["per_shard_peak_rss_kb"])
     _fill_outcome_counts(report)
-    report.messages_sent = merged["messages_sent"]
-    report.messages_dropped = merged["messages_dropped"]
-    report.drops_by_reason = merged["drops_by_reason"]
-    report.faults_by_kind = dict(merged.get("faults_by_kind", {}))
-    report.events_processed = merged["events_processed"]
-    report.per_shard_peak_rss_kb = [s["peak_rss_kb"] for s in stats]
-    report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
-    report.virtual_time = transport.now
     report.wall_clock_s = time.perf_counter() - started
     return report
 
 
-def _run_sharded_mediation(spec: ScaleoutSpec,
-                           deployment: Deployment) -> ScaleoutReport:
-    """Mediation workload on the sharded transport.
+def _submitter(spec: ScaleoutSpec, deployment: Deployment, transport):
+    """``submit(origin, work)`` for one wave entry of this workload."""
+    if deployment.mediation is None:
+        def retrieve(origin: str, key: Key) -> None:
+            transport.submit(origin, "retrieve", key)
+        return retrieve
 
-    Every query crosses the transport boundary as one attributed
-    ``search_for`` submission; engine batches go through
-    :meth:`ShardedGridVine.run_batch` (one attributed
-    ``execute_planned_batch`` submission).  All of a wave's operations
-    issue at the same window boundary, so they execute concurrently —
-    exactly like the in-process wave's synchronous kickoffs.
-    """
     from repro.mediation.sharded import ShardedGridVine
 
-    med = deployment.mediation
-    assert med is not None
-    started = time.perf_counter()
-    transport = ShardedTransport(
-        spec.num_shards, latency=ConstantLatency(spec.latency_delay),
-        seed=spec.seed, mode=spec.mode)
-    owner = partition_paths(deployment.assignment, spec.num_shards)
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload_mediation(deployment, peers)
-    for node_id, peer in peers.items():
-        transport.add_peer(peer, owner[node_id])
-    for at, node_id, online in deployment.toggles:
-        transport.set_online_at(at, node_id, online)
-    if spec.trace_path is not None:
-        transport.install_tracer()
-    if spec.faults is not None:
-        transport.install_fault_plan(spec.faults)
-    transport.start()
-    facade = ShardedGridVine(transport, mappings=med.mappings)
+    facade = ShardedGridVine(transport, mappings=deployment.mediation.mappings)
     engine = (facade.create_engine(max_hops=spec.query_max_hops)
               if spec.batch_queries > 0 else None)
 
-    report = ScaleoutReport(engine=f"sharded/{spec.mode}",
-                            num_peers=spec.num_peers,
-                            num_shards=spec.num_shards)
-    query_refs: list[int] = []
-    next_ref = 0
-    for wave_index, wave in enumerate(med.query_waves):
-        if spec.churn:
-            transport.run_until(wave_index * spec.wave_interval)
-        for origin, query in wave:
-            ref = transport.submit(
-                origin, "search_for", query, spec.strategy,
-                spec.query_max_hops, spec.query_limit,
-                summarize=summarize_query_outcome, attribute=True)
-            query_refs.append(ref)
-            next_ref = ref + 1
-            report.ops_issued += 1
-        batch = med.batch_waves[wave_index]
-        if batch is not None:
-            # The engine submits through the facade's run_batch seam
-            # and drives the shards to quiescence, so the wave's
-            # individual queries run concurrently with the batch.
-            # Its submission consumes the next controller ref — the
-            # key the in-process leg stores the same batch under.
-            origin, queries = batch
-            result = engine.execute_batch(list(queries), origin=origin)
-            report.outcomes[next_ref] = summarize_batch_result(result)
-            next_ref += 1
-            report.ops_issued += 1
-        elif not spec.churn:
-            transport.run_until_quiescent()
-    if spec.churn:
-        transport.run_until(spec.duration)
-    transport.run_until_quiescent()
-
-    stats = transport.stop()
-    _export_sharded_trace(transport, spec)
-    merged = transport.metrics_snapshot()
-    operations = merged["operations"]
-    for ref in query_refs:
-        report.outcomes[ref] = (transport.completed[ref]
-                                + (operations.get(f"op:{ref}", 0),))
-    _fill_outcome_counts(report)
-    report.messages_sent = merged["messages_sent"]
-    report.messages_dropped = merged["messages_dropped"]
-    report.drops_by_reason = merged["drops_by_reason"]
-    report.faults_by_kind = dict(merged.get("faults_by_kind", {}))
-    report.events_processed = merged["events_processed"]
-    report.per_shard_peak_rss_kb = [s["peak_rss_kb"] for s in stats]
-    report.peak_rss_kb = max(report.per_shard_peak_rss_kb)
-    report.virtual_time = transport.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
-
-
-def run_inprocess(spec: ScaleoutSpec,
-                  deployment: Deployment | None = None) -> ScaleoutReport:
-    """Run the identical deployment on the single-loop transport."""
-    deployment = deployment or build_deployment(spec)
-    if spec.workload == "mediation":
-        return _run_inprocess_mediation(spec, deployment)
-    started = time.perf_counter()
-    net = InProcessTransport(latency=ConstantLatency(spec.latency_delay),
-                             rng=random.Random(f"{spec.seed}/latency"))
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload(deployment, peers)
-    for peer in peers.values():
-        net.attach(peer)
-    if spec.faults is not None:
-        from repro.faultlab.injector import install_plan
-        install_plan(net, spec.faults)
-    tracer = _install_inprocess_tracer(net, spec)
-    loop = net.loop
-    for at, node_id, online in deployment.toggles:
-        loop.schedule_at(at, net.set_online, node_id, online)
-
-    report = ScaleoutReport(engine="inprocess", num_peers=spec.num_peers,
-                            num_shards=1)
-    outcomes: dict[int, tuple] = {}
-    ref = 0
-    for wave_index, wave in enumerate(deployment.waves):
-        if spec.churn:
-            loop.run_until(wave_index * spec.wave_interval)
-        pending = []
-        for origin, key in wave:
-            if tracer is None:
-                future = peers[origin].retrieve(key)
-            else:
-                future = _traced_kickoff(
-                    tracer, loop, ref, "retrieve", origin,
-                    lambda o=origin, k=key: peers[o].retrieve(k))
-            future.add_done_callback(
-                lambda f, r=ref: outcomes.__setitem__(
-                    r, summarize_op_result(f.result())))
-            pending.append(future)
-            ref += 1
-            report.ops_issued += 1
-        if not spec.churn:
-            loop.run_until_idle()
-    if spec.churn:
-        loop.run_until(spec.duration)
-    loop.run_until_idle()
-
-    _export_inprocess_trace(tracer, spec)
-    report.outcomes = outcomes
-    _fill_outcome_counts(report)
-    snap = net.metrics.snapshot()
-    report.messages_sent = snap["messages_sent"]
-    report.messages_dropped = snap["messages_dropped"]
-    report.drops_by_reason = snap["drops_by_reason"]
-    report.faults_by_kind = dict(snap.get("faults_by_kind", {}))
-    report.events_processed = loop.events_processed
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    report.per_shard_peak_rss_kb = [rss]
-    report.peak_rss_kb = rss
-    report.virtual_time = loop.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
-
-
-def _run_inprocess_mediation(spec: ScaleoutSpec,
-                             deployment: Deployment) -> ScaleoutReport:
-    """Mediation workload on the single-loop transport.
-
-    Mirrors the sharded leg submission for submission: queries are
-    kicked off inside ``op:<ref>`` attribution scopes (the same tags
-    the sharded controller assigns, in the same global order), engine
-    batches run through ``GridVineNetwork.run_batch``, and summaries
-    land under the same refs — so ``report.outcomes`` compares equal
-    across engines, message counts included.
-    """
-    from repro.engine.core import QueryEngine
-    from repro.mediation.network import GridVineNetwork
-
-    med = deployment.mediation
-    assert med is not None
-    started = time.perf_counter()
-    net = InProcessTransport(latency=ConstantLatency(spec.latency_delay),
-                             rng=random.Random(f"{spec.seed}/latency"))
-    peers = {node_id: _make_peer(spec, deployment, node_id)
-             for node_id in sorted(deployment.assignment)}
-    _preload_mediation(deployment, peers)
-    for peer in peers.values():
-        net.attach(peer)
-    gridvine = GridVineNetwork(net, peers,
-                               rng=random.Random(f"{spec.seed}/harness"),
-                               failover=spec.failover,
-                               refs_per_level=spec.refs_per_level)
-    engine = None
-    if spec.batch_queries > 0:
-        # Mirror backfill by replay, exactly like the sharded facade —
-        # no overlay crawl, so the engines plan from identical graphs
-        # and preload generates zero traffic on either engine.
-        engine = QueryEngine(gridvine, max_hops=spec.query_max_hops)
-        for mapping in med.mappings:
-            engine._on_mapping_event("insert", mapping)
-    if spec.faults is not None:
-        from repro.faultlab.injector import install_plan
-        install_plan(net, spec.faults)
-    tracer = _install_inprocess_tracer(net, spec)
-    loop = net.loop
-    for at, node_id, online in deployment.toggles:
-        loop.schedule_at(at, net.set_online, node_id, online)
-
-    report = ScaleoutReport(engine="inprocess", num_peers=spec.num_peers,
-                            num_shards=1)
-    metrics = net.metrics
-    pending: dict[int, tuple] = {}
-    next_ref = 0
-    for wave_index, wave in enumerate(med.query_waves):
-        if spec.churn:
-            loop.run_until(wave_index * spec.wave_interval)
-        for origin, query in wave:
-            ref = next_ref
-            next_ref += 1
-            tag = f"op:{ref}"
-            metrics.begin_operation(tag)
-            with net.operation(tag):
-                if tracer is None:
-                    future = peers[origin].search_for(
-                        query, strategy=spec.strategy,
-                        max_hops=spec.query_max_hops,
-                        limit=spec.query_limit)
-                else:
-                    future = _traced_kickoff(
-                        tracer, loop, ref, "search_for", origin,
-                        lambda o=origin, q=query: peers[o].search_for(
-                            q, strategy=spec.strategy,
-                            max_hops=spec.query_max_hops,
-                            limit=spec.query_limit))
-            future.add_done_callback(
-                lambda f, r=ref: pending.__setitem__(
-                    r, summarize_query_outcome(f.result())))
-            report.ops_issued += 1
-        batch = med.batch_waves[wave_index]
-        if batch is not None:
-            origin, queries = batch
-            result = engine.execute_batch(list(queries), origin=origin)
-            report.outcomes[next_ref] = summarize_batch_result(result)
-            next_ref += 1
-            report.ops_issued += 1
-        if not spec.churn:
-            loop.run_until_idle()
-    if spec.churn:
-        loop.run_until(spec.duration)
-    loop.run_until_idle()
-
-    for ref, summary in pending.items():
-        tag = f"op:{ref}"
-        report.outcomes[ref] = summary + (metrics.operation_messages(tag),)
-        metrics.end_operation(tag)
-    _export_inprocess_trace(tracer, spec)
-    _fill_outcome_counts(report)
-    snap = metrics.snapshot()
-    report.messages_sent = snap["messages_sent"]
-    report.messages_dropped = snap["messages_dropped"]
-    report.drops_by_reason = snap["drops_by_reason"]
-    report.faults_by_kind = dict(snap.get("faults_by_kind", {}))
-    report.events_processed = loop.events_processed
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    report.per_shard_peak_rss_kb = [rss]
-    report.peak_rss_kb = rss
-    report.virtual_time = loop.now
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    def mediate(origin: str, work) -> None:
+        if isinstance(work, list):
+            # One engine batch: planned controller-side, executed at
+            # the origin as one attributed operation.
+            facade.submit_batch(origin, work,
+                                [engine.plan(query) for query in work],
+                                summarize=summarize_batch_result)
+        else:
+            transport.submit(origin, "search_for", work, spec.strategy,
+                             spec.query_max_hops, spec.query_limit,
+                             summarize=summarize_query_outcome,
+                             attribute=True)
+    return mediate
 
 
 def _fill_outcome_counts(report: ScaleoutReport) -> None:
@@ -844,8 +595,8 @@ def _fill_outcome_counts(report: ScaleoutReport) -> None:
             report.reformulations += reformulations
             report.query_messages += messages
         elif tag == "b":
-            (_, per_query, messages, _fetched, _total,
-             _issued, _skipped) = summary
+            (_, per_query, _fetched, _total, _issued, _skipped,
+             messages) = summary
             if per_query and all(q[1] for q in per_query):
                 report.successes += 1
             report.rows_returned += sum(len(q[2]) for q in per_query)

@@ -430,13 +430,12 @@ class ScenarioRunner:
             anti_entropy.start()
         injector = None
         if has_faults:
-            from repro.faultlab.injector import install_plan
             # The injector hooks into the transport layer (on_send
             # veto + dispatch), so the scenario is engine-agnostic:
             # the network's transport is whatever the runner attached
             # the peers to — a sharded transport gets one injector per
-            # shard from the same plan (install_plan dispatches).
-            injector = install_plan(net.network, spec.faults)
+            # shard from the same plan.
+            injector = net.network.install_fault_plan(spec.faults)
         loop.run_until(loop.now + spec.warmup)
 
         report = ScenarioReport(spec=spec)

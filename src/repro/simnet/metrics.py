@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -133,3 +134,33 @@ class NetworkMetrics:
         self.faults_by_kind.clear()
         for op_tag in self.operations:
             self.operations[op_tag] = 0
+
+
+def merge_stats(reports: list[dict]) -> dict:
+    """Sum per-transport stats reports into one network-wide snapshot.
+
+    ``reports`` are :meth:`~repro.simnet.transport.Transport.stats`
+    dicts — one per shard on the sharded engine, one on the single
+    loop — so both engines report the same keys.  Counters add, keyed
+    counters add per key (a cross-shard operation's tag appears on
+    every shard its causal chain touched; its total is the sum), and
+    the per-shard memory footprints are listed in shard order.
+    """
+    merged = {"messages_sent": 0, "messages_dropped": 0,
+              "events_processed": 0}
+    keyed: dict[str, Counter] = {"drops_by_reason": Counter(),
+                                 "faults_by_kind": Counter(),
+                                 "operations": Counter()}
+    for report in reports:
+        metrics = report["metrics"]
+        merged["messages_sent"] += metrics["messages_sent"]
+        merged["messages_dropped"] += metrics["messages_dropped"]
+        merged["events_processed"] += report["events_processed"]
+        keyed["drops_by_reason"].update(metrics["drops_by_reason"])
+        keyed["faults_by_kind"].update(metrics["faults_by_kind"])
+        keyed["operations"].update(report["operations"])
+    for name, counts in keyed.items():
+        merged[name] = dict(counts)
+    merged["per_shard_peak_rss_kb"] = [report["peak_rss_kb"]
+                                       for report in reports]
+    return merged

@@ -12,11 +12,16 @@ retries, exactly as over a real WAN).
 code.  Peers receive deliveries through the handler registry on
 :class:`Node`: each message kind maps to one registered handler, which
 is what makes peers addressable actors rather than objects calling into
-each other.
+each other.  It also offers the run-driver surface of
+:class:`~repro.simnet.shard.ShardedTransport` (``submit`` /
+``completed`` / ``set_online_at`` / ``run_until`` /
+``run_until_quiescent`` / ``stop`` / ``metrics_snapshot``), so one
+driver runs a deployment on either engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from heapq import heappush
 from typing import Any, Callable
@@ -139,6 +144,18 @@ class Node:
         raise ValueError(f"unknown message kind {message.kind!r}")
 
 
+def summarize_op_result(result: Any) -> tuple:
+    """Default completion summary: a plain, picklable tuple.
+
+    Works for :class:`repro.pgrid.peer.OpResult`; sharded harnesses
+    reduce completions to plain data at the barrier so process workers
+    never ship peer objects.
+    """
+    return (result.success, result.hops, round(result.latency, 9),
+            result.attempts,
+            None if result.values is None else len(result.values))
+
+
 class SimNetwork(Transport):
     """The simulated Internet layer (single shared event loop).
 
@@ -166,6 +183,59 @@ class SimNetwork(Transport):
         self.loop = self._loop = loop if loop is not None else EventLoop()
         self.latency = latency if latency is not None else ConstantLatency()
         self.rng = rng if rng is not None else random.Random(0)
+        self._refs = itertools.count()
+        #: op ref -> completion summary (see :meth:`submit`)
+        self.completed: dict[int, Any] = {}
+
+    # -- run driver ----------------------------------------------------
+
+    def submit(self, node_id: str, method: str, *args: Any,
+               summarize: Callable | None = None,
+               attribute: bool = False) -> int:
+        """Call ``peer.<method>(*args)`` now; returns the op ref.
+
+        The single-loop twin of :meth:`ShardedTransport.submit`: the
+        future's result, reduced by ``summarize`` (default
+        :func:`summarize_op_result`), lands in :attr:`completed` under
+        the returned ref, and ``attribute=True`` counts every message
+        the operation causes under ``op:<ref>`` in
+        :meth:`metrics_snapshot` ``operations``.  Refs, attribution
+        tags and trace roots match the sharded engine's, so one
+        deployment is comparable across engines.
+        """
+        ref = next(self._refs)
+        peer = self.node(node_id)
+        self.start_operation(
+            node_id, getattr(peer, method), args,
+            tag=f"op:{ref}" if attribute else None,
+            trace_id=f"op:{ref}", name=f"op:{method}",
+            # Bound through defaults, not closure cells: one callback
+            # object per op keeps a 20k-op run's collector cadence.
+            on_done=lambda future, ref=ref, completed=self.completed,
+            summarize=summarize or summarize_op_result:
+                completed.__setitem__(ref, summarize(future.result())))
+        return ref
+
+    def set_online_at(self, time: float, node_id: str, online: bool) -> None:
+        """Schedule a churn toggle at virtual ``time``."""
+        self.node(node_id)
+        if time < self._loop.now:
+            raise SimulationError(
+                f"cannot toggle in the past ({time} < {self._loop.now})")
+        self._loop.schedule_at(time, self.set_online, node_id, online)
+
+    def run_until(self, t_end: float) -> None:
+        """Fire every event up to virtual time ``t_end``."""
+        self._loop.run_until(t_end)
+
+    def run_until_quiescent(self) -> None:
+        """Fire events until none is left."""
+        self._loop.run_until_idle()
+
+    def stop(self) -> list[dict]:
+        """Final stats report (a one-element list, like the per-shard
+        reports of :meth:`ShardedTransport.stop`)."""
+        return [self.stats()]
 
     # -- transport -----------------------------------------------------
 

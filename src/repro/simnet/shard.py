@@ -54,7 +54,8 @@ from typing import Any, Callable
 
 from repro.simnet.events import EventLoop, SimulationError
 from repro.simnet.latency import ConstantLatency, LatencyModel
-from repro.simnet.network import Message, Node
+from repro.simnet.metrics import merge_stats
+from repro.simnet.network import Message, Node, summarize_op_result
 from repro.simnet.transport import Transport
 
 #: message kinds whose payload "values" list is counted as shipped
@@ -289,18 +290,6 @@ class ShardTransport(Transport):
         self._liveness[node_id] = online
 
 
-def summarize_op_result(result: Any) -> tuple:
-    """Default completion summary: a plain, picklable tuple.
-
-    Works for :class:`repro.pgrid.peer.OpResult`; sharded harnesses
-    reduce completions to plain data at the barrier so process workers
-    never ship peer objects.
-    """
-    return (result.success, result.hops, round(result.latency, 9),
-            result.attempts,
-            None if result.values is None else len(result.values))
-
-
 class Shard:
     """One shard: a :class:`ShardTransport`, its peers, and window state."""
 
@@ -358,77 +347,23 @@ class Shard:
 
     def _issue(self, ref: int, node_id: str, method: str, args: tuple,
                summarize: Callable, attribute: bool = False) -> None:
+        # The op ref comes from the controller's global submit order, so
+        # the attribution tag and trace id — and the root span's
+        # per-peer sequence — are invariant to how peers are sharded.
+        # An attributed op's tag rides its messages across shard
+        # boundaries, so the merged per-shard ``operations`` counters
+        # give an exact per-op message count.
         peer = self.transport.node(node_id)
-        transport = self.transport
-        tracer = transport.tracer
-        if attribute:
-            # Attributed submission: the synchronous kickoff runs
-            # inside an ``op:<ref>`` scope; every asynchronous
-            # continuation inherits the tag through the messages
-            # themselves (including across shard boundaries), so the
-            # merged per-shard ``operations`` counters give an exact
-            # per-op message count — the sharded twin of
-            # ``GridVineNetwork.search_for``'s attribution.  The tag
-            # matches the traced submission's trace id below.
-            transport._op_stack.append(f"op:{ref}")
-        try:
-            if tracer is None:
-                future = getattr(peer, method)(*args)
-                future.add_done_callback(
-                    lambda f: self._completions.append(
-                        (ref, summarize(f.result()))))
-                return
-            # Traced submission: the op ref comes from the controller's
-            # global submit order, so the trace id — and the root
-            # span's per-peer sequence — is invariant to how peers are
-            # sharded.
-            loop = transport.loop
-            root = tracer.start_trace(f"op:{ref}", f"op:{method}",
-                                      peer=node_id, start=loop.now)
-            context = tracer.context_of(root)
-            tracer._stack.append(context)
-            try:
-                future = getattr(peer, method)(*args)
-            finally:
-                tracer._stack.pop()
-
-            def _done(f: Any) -> None:
-                result = f.result()
-                status = "ok" if getattr(result, "success", True) \
-                    else "failed"
-                tracer.finish(root, loop.now, status)
-                self._completions.append((ref, summarize(result)))
-
-            future.add_done_callback(_done)
-        finally:
-            if attribute:
-                transport._op_stack.pop()
+        self.transport.start_operation(
+            node_id, getattr(peer, method), args,
+            tag=f"op:{ref}" if attribute else None,
+            trace_id=f"op:{ref}", name=f"op:{method}",
+            on_done=lambda future: self._completions.append(
+                (ref, summarize(future.result()))))
 
     def stats(self) -> dict:
         """Final per-shard report (metrics + footprint + spans)."""
-        import resource
-
-        report = {
-            "shard": self.shard_id,
-            "peers": len(self.transport._nodes),
-            "metrics": self.transport.metrics.snapshot(),
-            # Per-op attribution counters (not part of the generic
-            # metrics snapshot): every tag this shard's traffic carried.
-            "operations": dict(self.transport.metrics.operations),
-            "events_processed": self.transport.loop.events_processed,
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        }
-        injector = self.transport.fault_injector
-        if injector is not None:
-            report["faults_injected"] = dict(injector.injected)
-        tracer = self.transport.tracer
-        if tracer is not None:
-            # Span records are plain dicts, so process-mode workers
-            # ship them over the stats pipe unchanged; the controller
-            # merges per-shard buffers deterministically.
-            report["spans"] = tracer.records
-            report["spans_dropped"] = tracer.dropped
-        return report
+        return {"shard": self.shard_id, **self.transport.stats()}
 
 
 def _shard_worker(shard: Shard, conn: Any) -> None:
@@ -702,8 +637,10 @@ class ShardedTransport:
         :meth:`metrics_snapshot` ``operations`` dict.  Bulk workloads
         leave it off and pay nothing.
         """
+        shard_id = self._owner_of.get(node_id)
+        if shard_id is None:
+            raise SimulationError(f"unknown node {node_id!r}")
         ref = next(self._refs)
-        shard_id = self._owner_of[node_id]
         self._inputs[shard_id].ops.append(
             (ref, node_id, method, args, summarize, attribute))
         return ref
@@ -923,27 +860,4 @@ class ShardedTransport:
 
     def metrics_snapshot(self) -> dict:
         """Merged per-shard metrics (live mid-run, final after stop())."""
-        merged: dict[str, Any] = {
-            "messages_sent": 0, "messages_dropped": 0,
-            "events_processed": 0, "drops_by_reason": {},
-            "faults_by_kind": {}, "operations": {},
-            "per_shard_peak_rss_kb": [],
-        }
-        for entry in self.shard_stats():
-            snap = entry["metrics"]
-            merged["messages_sent"] += snap["messages_sent"]
-            merged["messages_dropped"] += snap["messages_dropped"]
-            merged["events_processed"] += entry["events_processed"]
-            for reason, count in snap["drops_by_reason"].items():
-                merged["drops_by_reason"][reason] = (
-                    merged["drops_by_reason"].get(reason, 0) + count)
-            for kind, count in snap["faults_by_kind"].items():
-                merged["faults_by_kind"][kind] = (
-                    merged["faults_by_kind"].get(kind, 0) + count)
-            for op_tag, count in entry.get("operations", {}).items():
-                # A cross-shard operation's tag appears on every shard
-                # its causal chain touched; the per-op total is the sum.
-                merged["operations"][op_tag] = (
-                    merged["operations"].get(op_tag, 0) + count)
-            merged["per_shard_peak_rss_kb"].append(entry["peak_rss_kb"])
-        return merged
+        return merge_stats(self.shard_stats())

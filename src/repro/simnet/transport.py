@@ -39,10 +39,10 @@ sharded engine) and export merged, deterministically ordered records.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.simnet.events import SimulationError
-from repro.simnet.metrics import NetworkMetrics
+from repro.simnet.metrics import NetworkMetrics, merge_stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.events import EventLoop
@@ -211,6 +211,116 @@ class Transport:
         if self.tracer is tracer:
             self.tracer = None
 
+    # -- operations ----------------------------------------------------
+
+    def start_operation(self, peer_id: str, kickoff: Callable,
+                        args: tuple = (), *, tag: str | None = None,
+                        trace_id: str | None = None,
+                        name: str | None = None, kind: str = "op",
+                        attrs: dict | None = None,
+                        on_done: Callable[[Any], None] | None = None,
+                        ) -> tuple[Any, dict | None]:
+        """Start one logical operation: ``kickoff(*args)`` at ``peer_id``.
+
+        The one place an operation opens its scopes.  With ``tag`` the
+        synchronous kickoff runs inside that attribution scope (and the
+        tag is registered for counting), so every message the operation
+        causes — forwards, replies, replica pushes, on any shard — is
+        counted under it.  With a tracer installed the kickoff also runs
+        under a fresh root span ``trace_id`` (default: ``tag``) named
+        ``name`` (default: ``trace_id``) carrying ``attrs``; untraced
+        runs never build one.
+
+        ``on_done(future)`` fires when the returned future resolves,
+        after the root span is closed with ``"ok"`` / ``"failed"`` from
+        the result's ``success`` flag.  Callers that close the root
+        themselves (to attach attributes known only later) pass no
+        ``on_done``.  Returns ``(kickoff result, root span or None)``.
+
+        Bulk runs start tens of thousands of operations, so the
+        untraced path allocates nothing beyond the kickoff and the
+        returned pair: the collector's cadence on a large deployment is
+        part of its wall time.
+        """
+        tracer = self.tracer
+        if tag is not None:
+            self.metrics.begin_operation(tag)
+            self._op_stack.append(tag)
+        try:
+            if tracer is None:
+                root = None
+                result = kickoff(*args)
+            else:
+                trace_id = trace_id or tag
+                root = tracer.start_trace(trace_id, name or trace_id,
+                                          peer=peer_id, start=self.loop.now,
+                                          kind=kind, **(attrs or {}))
+                tracer._stack.append(tracer.context_of(root))
+                try:
+                    result = kickoff(*args)
+                finally:
+                    tracer._stack.pop()
+        finally:
+            if tag is not None:
+                self._op_stack.pop()
+        if on_done is not None:
+            if root is not None:
+                on_done = _finishing(tracer, root, self.loop, on_done)
+            result.add_done_callback(on_done)
+        return result, root
+
+    def install_fault_plan(self, plan: Any) -> Any:
+        """Install one :class:`~repro.faultlab.injector.FaultInjector`
+        driven by ``plan``; returns the
+        :class:`~repro.faultlab.injector.InstalledPlan`."""
+        from repro.faultlab.injector import FaultInjector, InstalledPlan
+
+        return InstalledPlan([FaultInjector(self, plan).install()])
+
+    # -- reporting -----------------------------------------------------
+
+    def stats(self) -> dict:
+        """This transport's stats report (metrics, footprint, spans).
+
+        The unit :func:`~repro.simnet.metrics.merge_stats` sums: one
+        per shard on the sharded engine, one for the single loop.
+        """
+        import resource
+
+        report = {
+            "peers": len(self._nodes),
+            "metrics": self.metrics.snapshot(),
+            # Per-op attribution counters (not part of the generic
+            # metrics snapshot): every tag this transport's traffic
+            # carried.
+            "operations": dict(self.metrics.operations),
+            "events_processed": self.loop.events_processed,
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        }
+        injector = self.fault_injector
+        if injector is not None:
+            report["faults_injected"] = dict(injector.injected)
+        tracer = self.tracer
+        if tracer is not None:
+            # Span records are plain dicts, so process-mode workers
+            # ship them over the stats pipe unchanged.
+            report["spans"] = tracer.records
+            report["spans_dropped"] = tracer.dropped
+        return report
+
+    def metrics_snapshot(self) -> dict:
+        """Network-wide counters, shaped like
+        :meth:`ShardedTransport.metrics_snapshot`."""
+        return merge_stats([self.stats()])
+
+    def trace_records(self) -> list[dict]:
+        """All recorded span/event dicts in deterministic order."""
+        if self.tracer is None:
+            return []
+        from repro.obs.tracer import merge_records
+
+        return merge_records([self.tracer.records])
+
     # -- sending -------------------------------------------------------
 
     def send(self, message: "Message") -> None:
@@ -218,10 +328,13 @@ class Transport:
         raise NotImplementedError
 
 
-def __getattr__(name: str) -> Any:
-    # ``InProcessTransport`` is defined in network.py (it *is*
-    # SimNetwork); re-export it here lazily to avoid a circular import.
-    if name == "InProcessTransport":
-        from repro.simnet.network import InProcessTransport
-        return InProcessTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _finishing(tracer: Any, root: dict, loop: "EventLoop",
+               on_done: Callable[[Any], None]) -> Callable[[Any], None]:
+    """``on_done`` preceded by closing ``root`` with the result's
+    ``ok`` / ``failed`` status."""
+    def done(future: Any) -> None:
+        status = ("ok" if getattr(future.result(), "success", True)
+                  else "failed")
+        tracer.finish(root, loop.now, status)
+        on_done(future)
+    return done

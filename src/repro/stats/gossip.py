@@ -88,20 +88,10 @@ class StatsAntiEntropy:
         peer = self.peers.get(self.origin)
         if peer is None or peer.network is None or not peer.online:
             return 0
-        sent = 0
-        root = self._begin_round(peer, "antientropy:sweep")
-        try:
-            for target in sorted(self.peers):
-                if target == self.origin:
-                    continue
-                if not peer.network.is_online(target):
-                    continue
-                self.pulls_sent += 1
-                sent += 1
-                peer.send(target, "stats_pull", {"budget": PULL_BUDGET})
-        finally:
-            self._end_round(peer, root, sent)
-        return sent
+        targets = [target for target in sorted(self.peers)
+                   if target != self.origin
+                   and peer.network.is_online(target)]
+        return self._round(peer, "antientropy:sweep", targets)
 
     def _tick(self) -> None:
         if not self._running:
@@ -116,41 +106,32 @@ class StatsAntiEntropy:
                 and peer.network.is_online(node_id)
             ]
             self.rng.shuffle(candidates)
-            root = self._begin_round(peer, "antientropy:pull")
-            sent = 0
-            try:
-                for target in candidates[:self.fanout]:
-                    self.pulls_sent += 1
-                    sent += 1
-                    peer.send(target, "stats_pull",
-                              {"budget": PULL_BUDGET})
-            finally:
-                self._end_round(peer, root, sent)
+            self._round(peer, "antientropy:pull", candidates[:self.fanout])
         peer.loop.schedule(self.rng.uniform(0.5, 1.5) * self.interval,
                            self._tick)
 
-    # -- tracing (no-ops with no tracer installed) ---------------------
+    def _round(self, peer, name: str, targets: list[str]) -> int:
+        """Pull from ``targets``; returns the number of pulls sent.
 
-    def _begin_round(self, peer, name: str):
-        """Open a per-round root trace when the transport is traced.
-
-        Anti-entropy runs outside any query, so each round gets its
-        own trace — the pull messages (and the pushes they trigger)
-        parent under it instead of polluting query traces.
+        Anti-entropy runs outside any query, so on a traced transport
+        each round gets its own trace — the pull messages (and the
+        pushes they trigger) parent under it instead of polluting query
+        traces.
         """
-        tracer = peer.network.tracer
-        if tracer is None:
-            return None
-        self._rounds += 1
-        root = tracer.start_trace(
-            f"{name}:{self.origin}:{self._rounds}", name,
-            peer=self.origin, start=peer.loop.now, kind="antientropy")
-        tracer._stack.append(tracer.context_of(root))
-        return root
+        network = peer.network
+        trace_id = None
+        if network.tracer is not None:
+            self._rounds += 1
+            trace_id = f"{name}:{self.origin}:{self._rounds}"
+        sent, root = network.start_operation(
+            self.origin, self._pull, (peer, targets), trace_id=trace_id,
+            name=name, kind="antientropy")
+        if root is not None:
+            network.tracer.finish(root, peer.loop.now, pulls=sent)
+        return sent
 
-    def _end_round(self, peer, root, sent: int) -> None:
-        if root is None:
-            return
-        tracer = peer.network.tracer
-        tracer._stack.pop()
-        tracer.finish(root, peer.loop.now, pulls=sent)
+    def _pull(self, peer, targets: list[str]) -> int:
+        for target in targets:
+            peer.send(target, "stats_pull", {"budget": PULL_BUDGET})
+        self.pulls_sent += len(targets)
+        return len(targets)

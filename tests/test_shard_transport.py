@@ -14,12 +14,16 @@ Three tiers of pinning:
   legitimately differs between engines).
 """
 
+import random
+
 import pytest
 
 from repro.pgrid.construction import assign_paths
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.scaleout import (
     ScaleoutSpec,
+    _make_peer,
+    _preload,
     build_deployment,
     run_inprocess,
     run_sharded,
@@ -27,6 +31,7 @@ from repro.pgrid.scaleout import (
 from repro.simnet.churn import exponential_schedule
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency, LogNormalWANLatency
+from repro.simnet.network import SimNetwork
 from repro.simnet.shard import ShardedTransport, partition_paths
 from repro.util.keys import Key
 
@@ -216,3 +221,71 @@ class TestEngineEquivalence:
         assert single.ops_completed == single.ops_issued
         assert abs(sharded.success_rate - single.success_rate) < 0.15
         assert sharded.successes > 0 and single.successes > 0
+
+
+# ----------------------------------------------------------------------
+# One driver surface: the same script on every transport
+# ----------------------------------------------------------------------
+
+#: pools of size one make retrieve routing rng-free, so every engine
+#: must complete every op with the same summary
+DRIVER_SPEC = dict(num_peers=120, replication=1, refs_per_level=1, seed=5,
+                   num_keys=30, ops_per_wave=15, num_waves=2)
+
+
+def _inprocess_driver(deployment):
+    transport = SimNetwork(latency=ConstantLatency(0.05),
+                           rng=random.Random(0))
+    return transport, transport.attach
+
+
+def _sharded_driver(num_shards, mode):
+    def build(deployment):
+        transport = ShardedTransport(num_shards,
+                                     latency=ConstantLatency(0.05),
+                                     seed=5, mode=mode)
+        owner = partition_paths(deployment.assignment, num_shards)
+        return transport, lambda peer: transport.add_peer(
+            peer, owner[peer.node_id])
+    return build
+
+
+def run_driver_script(build):
+    """Submit, step, drain, stop and report through the driver surface
+    only; returns (completed, metrics snapshot)."""
+    spec = ScaleoutSpec(**DRIVER_SPEC)
+    deployment = build_deployment(spec)
+    transport, attach = build(deployment)
+    peers = {node_id: _make_peer(spec, deployment, node_id)
+             for node_id in sorted(deployment.assignment)}
+    _preload(deployment, peers)
+    for peer in peers.values():
+        attach(peer)
+    first, second = deployment.waves
+    refs = [transport.submit(origin, "retrieve", key)
+            for origin, key in first]
+    transport.run_until(1.0)
+    refs += [transport.submit(origin, "retrieve", key)
+             for origin, key in second]
+    transport.run_until_quiescent()
+    transport.stop()
+    assert refs == list(range(len(first) + len(second)))
+    return dict(transport.completed), transport.metrics_snapshot()
+
+
+class TestDriverConformance:
+    @pytest.mark.parametrize("build", [
+        _inprocess_driver,
+        _sharded_driver(1, "inline"),
+        _sharded_driver(2, "inline"),
+        _sharded_driver(2, "process"),
+    ], ids=["inprocess", "inline1", "inline2", "process2"])
+    def test_same_script_same_results_on_every_transport(self, build):
+        reference, reference_snapshot = run_driver_script(_inprocess_driver)
+        completed, snapshot = run_driver_script(build)
+        assert len(completed) == 2 * DRIVER_SPEC["ops_per_wave"]
+        assert completed == reference
+        assert set(snapshot) == set(reference_snapshot)
+        assert snapshot["messages_sent"] == \
+            reference_snapshot["messages_sent"] > 0
+        assert snapshot["events_processed"] > 0

@@ -16,6 +16,8 @@ clauses are rng-free), and any faulted sharded run replays
 bit-identically from its seed.
 """
 
+import json
+
 import pytest
 
 from repro.faultlab.plan import FaultPlan, MessageDrop, Partition
@@ -28,6 +30,7 @@ from repro.pgrid.scaleout import (
 )
 from repro.simnet.events import SimulationError
 from repro.simnet.latency import ConstantLatency
+from repro.simnet.network import SimNetwork
 from repro.simnet.shard import ShardedTransport, partition_paths
 
 
@@ -96,6 +99,112 @@ class TestCrossEngineEquality:
         second = run_sharded(med_spec())
         assert first.outcomes == second.outcomes
         assert first.messages_sent == second.messages_sent
+
+
+class TestOneDriverAcrossEngines:
+    def test_batch_waves_issue_on_schedule_under_churn(self, monkeypatch):
+        # Regression: an engine batch used to block the wave loop —
+        # in-process on run_until_complete, sharded on a
+        # run_until_quiescent that swallowed the whole churn schedule —
+        # so waves after the first issued late.  Batches now submit
+        # alongside their wave's queries.
+        spec = med_spec(num_peers=300, num_waves=4, ops_per_wave=5,
+                        batch_queries=3, churn=True, duration=80.0,
+                        wave_interval=20.0)
+        deployment = build_deployment(spec)
+        for cls, run in ((SimNetwork, run_inprocess),
+                         (ShardedTransport, run_sharded)):
+            issued = []
+            submit = cls.submit
+
+            def recording_submit(transport, node_id, method, *args,
+                                 _submit=submit, _issued=issued, **kwargs):
+                _issued.append((transport.now, method))
+                return _submit(transport, node_id, method, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "submit", recording_submit)
+            report = run(spec, deployment)
+            monkeypatch.setattr(cls, "submit", submit)
+            per_wave = spec.ops_per_wave + 1
+            assert report.ops_issued == len(issued) == 4 * per_wave
+            assert [at for at, _method in issued] == [
+                wave * spec.wave_interval
+                for wave in range(4) for _ in range(per_wave)]
+            assert [method for _at, method in issued[:per_wave]] == \
+                ["search_for"] * 5 + ["execute_planned_batch"]
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_traced_runs_share_trace_ids_and_hop_counts(self, tmp_path,
+                                                         num_shards):
+        # Trace ids follow the driver's global submit order on every
+        # engine, batches included.
+        spec = med_spec(batch_queries=3)
+        deployment = build_deployment(spec)
+
+        def hops_per_trace(run, **overrides):
+            path = tmp_path / f"{run.__name__}-{num_shards}.jsonl"
+            run(med_spec(batch_queries=3, trace_path=str(path),
+                         **overrides), deployment)
+            counts = {}
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                counts.setdefault(record["trace"], 0)
+                if record.get("kind") == "message":
+                    counts[record["trace"]] += 1
+            return counts
+
+        single = hops_per_trace(run_inprocess)
+        sharded = hops_per_trace(run_sharded, num_shards=num_shards)
+        assert sharded == single
+        assert set(single) == {f"op:{ref}" for ref in range(
+            spec.num_waves * (spec.ops_per_wave + 1))}
+        assert sum(single.values()) > 0
+
+
+class TestFacadeOnEitherTransport:
+    def _facade(self, deployment, transport, attach):
+        from repro.mediation.sharded import ShardedGridVine
+        from repro.pgrid.scaleout import _make_peer, _preload_mediation
+
+        spec = med_spec()
+        peers = {node_id: _make_peer(spec, deployment, node_id)
+                 for node_id in sorted(deployment.assignment)}
+        _preload_mediation(deployment, peers)
+        for peer in peers.values():
+            attach(peer)
+        return ShardedGridVine(transport,
+                               mappings=deployment.mediation.mappings)
+
+    def _run(self, deployment, transport, attach):
+        from repro.pgrid.scaleout import summarize_query_outcome
+
+        facade = self._facade(deployment, transport, attach)
+        engine = facade.create_engine(max_hops=4)
+        *queries, (batch_origin, batch) = deployment.waves[0]
+        single = [facade.search_for(query, max_hops=4, origin=origin)
+                  for origin, query in queries]
+        result = engine.execute_batch(batch, origin=batch_origin)
+        with pytest.raises(SimulationError):
+            facade.search_for(queries[0][1], origin="no-such-peer")
+        return ([summarize_query_outcome(o) + (o.messages,)
+                 for o in single],
+                [summarize_query_outcome(o) for o in result.outcomes],
+                (result.patterns_fetched, result.scans_issued,
+                 result.messages))
+
+    def test_search_for_and_engine_batch_match_across_transports(self):
+        spec = med_spec(batch_queries=3)
+        deployment = build_deployment(spec)
+        single = SimNetwork(latency=ConstantLatency(spec.latency_delay))
+        baseline = self._run(deployment, single, single.attach)
+        sharded = ShardedTransport(
+            2, latency=ConstantLatency(spec.latency_delay), seed=spec.seed)
+        owner = partition_paths(deployment.assignment, 2)
+        assert self._run(deployment, sharded, lambda peer: sharded.add_peer(
+            peer, owner[peer.node_id])) == baseline
+        queries, _batch, (_fetched, _issued, batch_messages) = baseline
+        assert all(summary[-1] > 0 for summary in queries)
+        assert batch_messages > 0
 
 
 # ----------------------------------------------------------------------
