@@ -26,7 +26,10 @@ already-assigned paths, and :func:`replica_groups` wires ``sigma(p)``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
+from math import ceil, log
 
 from repro.util.keys import Key, common_prefix_length
 
@@ -119,16 +122,6 @@ def replica_groups(assignment: dict[str, Key]) -> dict[Key, list[str]]:
     for node_id, path in sorted(assignment.items()):
         groups.setdefault(path, []).append(node_id)
     return groups
-
-
-def _covers(path: Key, prefix: Key) -> bool:
-    """Whether a peer at ``path`` can serve keys under ``prefix``.
-
-    True when the two are prefix-comparable: the peer's subtree either
-    contains ``prefix`` or is contained in it (unbalanced tries make
-    both directions possible).
-    """
-    return path.is_prefix_of(prefix) or prefix.is_prefix_of(path)
 
 
 def build_routing_tables(
@@ -234,78 +227,91 @@ def populate_routing_tables(
         peer.replicas, peer.routing_table = tables[node_id]
 
 
+def _sample_offsets(randbelow, n: int, k: int) -> list[int]:
+    """``k`` distinct offsets below ``n``, exactly as ``Random.sample(
+    range(n), k)`` draws them: its two branches, through the same
+    ``_randbelow`` hook (passed as ``randbelow``), call for call."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    picked: list[int] = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = randbelow(n - i)
+            picked.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        for _ in range(k):
+            j = randbelow(n)
+            while j in picked:
+                j = randbelow(n)
+            picked.append(j)
+    return picked
+
+
 def sample_routing_tables(
     assignment: dict[str, Key],
     refs_per_level: int = 2,
     rng: random.Random | None = None,
 ) -> dict[str, tuple[list[str], list[list[str]]]]:
-    """Near-linear routing-table construction for large deployments.
+    """Routing tables for large deployments, sampled per level.
 
     :func:`build_routing_tables` materializes every eligible candidate
-    per (peer, level) — at level 0 that is half the network, which
-    makes the build quadratic and prohibitive beyond a few thousand
-    peers.  This variant *samples* ``refs_per_level`` references
-    directly from the candidate population using the trie structure:
+    per (peer, level) — at level 0 that is half the network.  This
+    builder draws ``refs_per_level`` references uniformly without
+    replacement from each complement prefix's population, and resolves
+    those populations once per trie leaf, not once per peer: leaf
+    members, concatenated in sorted-leaf order, put the peers under a
+    prefix in one slice ``flat[base:base + total]`` (``prefix + "2"``
+    ends the run of sorted leaves under it, ``"2"`` sorting after both
+    bits); an empty run means the one shallower leaf containing the
+    prefix covers it.  Only the draws are made per peer.
 
-    - leaf paths are sorted; the leaves under a complement prefix form
-      one contiguous run (found by bisection), and when that run is
-      empty exactly one shallower leaf covers the prefix (leaves
-      partition the key space);
-    - a prefix-sum over per-leaf member counts turns "pick a uniform
-      random eligible peer" into two bisections.
-
-    Tables are statistically equivalent to the exhaustive builder's
-    (uniform choice without replacement among the same candidate set)
-    but not bit-identical to it; large-scale runs use this builder for
-    every engine under comparison, so A/B results stay fair.
+    Peers draw in assignment order, levels in order, one
+    ``Random.sample(range(total), take)`` each (see
+    :func:`_sample_offsets`), and a level's picks are sorted by node id,
+    so the tables depend on nothing but the rng's draw sequence — the
+    historical per-peer sampler's, so tables and final rng state are
+    bit-identical to it.  Against the exhaustive builder they are
+    statistically equivalent (same candidate sets), not bit-identical;
+    large-scale runs use this builder on every engine under comparison.
     """
-    import bisect
-
+    if refs_per_level < 0:
+        raise ValueError("refs_per_level must be non-negative")
     rng = rng if rng is not None else random.Random(0)
     members: dict[str, list[str]] = {}
     for node_id, path in assignment.items():
         members.setdefault(path.bits, []).append(node_id)
     leaf_bits = sorted(members)
-    counts = [len(members[bits]) for bits in leaf_bits]
-    starts = [0] * (len(counts) + 1)
-    for i, c in enumerate(counts):
-        starts[i + 1] = starts[i] + c
+    flat = [node_id for bits in leaf_bits for node_id in members[bits]]
+    starts = list(accumulate((len(members[bits]) for bits in leaf_bits),
+                             initial=0))
 
-    def _population(prefix_bits: str) -> tuple[int, int]:
-        """(first leaf index, total members) of leaves covering prefix."""
-        lo = bisect.bisect_left(leaf_bits, prefix_bits)
-        hi = bisect.bisect_right(leaf_bits, prefix_bits + "1" * 200)
-        if lo < hi:  # leaves inside the prefix subtree
-            return lo, starts[hi] - starts[lo]
-        # Empty run: the single shallower leaf containing the prefix.
-        i = lo - 1
-        while i >= 0:
-            if prefix_bits.startswith(leaf_bits[i]):
-                return i, counts[i]
-            if not prefix_bits.startswith(leaf_bits[i][:len(prefix_bits)]):
-                break
-            i -= 1
-        return lo, 0
+    def _population(prefix: str) -> tuple[int, int, int]:
+        """(base, total, take) of the peers covering ``prefix``."""
+        lo = bisect_left(leaf_bits, prefix)
+        hi = bisect_left(leaf_bits, prefix + "2", lo)
+        if lo == hi and lo and prefix.startswith(leaf_bits[lo - 1]):
+            lo -= 1
+        total = starts[hi] - starts[lo]
+        return starts[lo], total, min(refs_per_level, total)
 
-    def _member_at(first_leaf: int, offset: int) -> str:
-        leaf = bisect.bisect_right(starts, starts[first_leaf] + offset) - 1
-        return members[leaf_bits[leaf]][starts[first_leaf] + offset - starts[leaf]]
+    leaves = {
+        bits: (sorted(members[bits]),
+               [_population(bits[:level] + ("1" if bits[level] == "0" else "0"))
+                for level in range(len(bits))])
+        for bits in leaf_bits}
 
+    randbelow = rng._randbelow
     tables: dict[str, tuple[list[str], list[list[str]]]] = {}
     for node_id, path in assignment.items():
-        replicas = sorted(m for m in members[path.bits] if m != node_id)
-        routing_table: list[list[str]] = []
-        for level in range(len(path)):
-            complement = path.sibling_prefix(level)
-            first, total = _population(complement.bits)
-            take = min(refs_per_level, total)
-            if take == 0:
-                routing_table.append([])
-                continue
-            offsets = rng.sample(range(total), take)
-            routing_table.append(
-                sorted(_member_at(first, off) for off in offsets))
-        tables[node_id] = (replicas, routing_table)
+        group, levels = leaves[path.bits]
+        tables[node_id] = (
+            [m for m in group if m != node_id],
+            [sorted([flat[base + offset]
+                     for offset in _sample_offsets(randbelow, total, take)])
+             for base, total, take in levels])
     return tables
 
 

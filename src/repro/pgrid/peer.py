@@ -841,8 +841,6 @@ class PGridPeer(Node):
         if level >= len(self.routing_table):
             return
         refs = self.routing_table[level]
-        complement = self.path.sibling_prefix(level)
-        answered_by = payload.get("answered_by")
         now = self.loop.now
         for candidate in payload.get("values") or ():
             if candidate == self.node_id or candidate in refs:
@@ -854,7 +852,6 @@ class PGridPeer(Node):
             # that terminated inside the complement's subtree.
             refs.append(candidate)
             self.maintenance_stats["refs_added"] += 1
-        del answered_by, complement  # (kept for symmetry/debugging)
 
     # ------------------------------------------------------------------
     # Maintenance handlers (driven by pgrid.maintenance)
